@@ -15,6 +15,26 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig cfg)
       autoscaler_(cfg_.autoscaler) {
   ARNET_CHECK(cfg_.initial_servers >= 1, "fleet needs at least one server");
   if (cfg_.tracer) trace_entity_ = cfg_.tracer->register_entity(cfg_.entity);
+  obs::MetricsRegistry* m = cfg_.metrics;
+  const std::string& e = cfg_.entity;
+  inst_.arrivals = {m, "fleet.arrivals", e};
+  inst_.admitted = {m, "fleet.admitted", e};
+  inst_.downgraded = {m, "fleet.downgraded", e};
+  inst_.rejected = {m, "fleet.rejected", e};
+  inst_.frames = {m, "fleet.frames", e};
+  inst_.deadline_hit = {m, "fleet.deadline_hit", e};
+  inst_.deadline_miss = {m, "fleet.deadline_miss", e};
+  inst_.scale_out = {m, "fleet.scale_out", e};
+  inst_.scale_in = {m, "fleet.scale_in", e};
+  inst_.active_sessions = {m, "fleet.active_sessions", e};
+  inst_.active_servers = {m, "fleet.active_servers", e};
+  inst_.utilization = {m, "fleet.utilization", e};
+  inst_.m2p_ms = {m, "fleet.m2p_ms", e};
+  inst_.m2p_ms_by_class.resize(mar::all_device_profiles().size());
+  for (const mar::DeviceProfile& p : mar::all_device_profiles()) {
+    inst_.m2p_ms_by_class.at(static_cast<std::size_t>(p.cls)) = {
+        m, "fleet.m2p_ms", e + "/class:" + p.name};
+  }
   for (std::size_t i = 0; i < cfg_.initial_servers; ++i) add_server();
   active_ = cfg_.initial_servers;
   population_.set_session_callback([this](const SessionSpec& s) { on_arrival(s); });
@@ -67,10 +87,8 @@ void Fleet::record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
 
 void Fleet::publish_gauges() {
   if (!cfg_.metrics) return;
-  cfg_.metrics->gauge("fleet.active_sessions", cfg_.entity)
-      .set(static_cast<double>(sessions_.size()));
-  cfg_.metrics->gauge("fleet.active_servers", cfg_.entity)
-      .set(static_cast<double>(active_));
+  inst_.active_sessions->set(static_cast<double>(sessions_.size()));
+  inst_.active_servers->set(static_cast<double>(active_));
 }
 
 void Fleet::start() {
@@ -89,7 +107,7 @@ void Fleet::stop() {
 void Fleet::on_arrival(const SessionSpec& spec) {
   if (!running_) return;
   ++stats_.arrivals;
-  if (cfg_.metrics) cfg_.metrics->counter("fleet.arrivals", cfg_.entity).add();
+  if (cfg_.metrics) inst_.arrivals->add();
   const AdmissionDecision d = admission_.decide(sim_.now(), spec.id);
   record_trace(trace::EventKind::kAdmit, trace::TraceContext{}, spec.id, 0, to_string(d));
   // Admission anomalies predate any frame trace, so the sampler keeps them
@@ -98,13 +116,10 @@ void Fleet::on_arrival(const SessionSpec& spec) {
     cfg_.sampler->note(spec.id, to_string(d), sim_.now());
   }
   if (cfg_.metrics) {
-    cfg_.metrics
-        ->counter(d == AdmissionDecision::kReject
-                      ? "fleet.rejected"
-                      : (d == AdmissionDecision::kDowngrade ? "fleet.downgraded"
-                                                            : "fleet.admitted"),
-                  cfg_.entity)
-        .add();
+    (d == AdmissionDecision::kReject
+         ? inst_.rejected
+         : (d == AdmissionDecision::kDowngrade ? inst_.downgraded : inst_.admitted))
+        ->add();
   }
   if (d == AdmissionDecision::kReject) {
     ++stats_.rejected;
@@ -141,7 +156,7 @@ void Fleet::capture_frame(std::uint64_t sid) {
   const sim::Time t0 = sim_.now();
   const std::uint64_t frame_uid = next_frame_uid_++;
   ++stats_.frames;
-  if (cfg_.metrics) cfg_.metrics->counter("fleet.frames", cfg_.entity).add();
+  if (cfg_.metrics) inst_.frames->add();
   trace::TraceContext ctx;
   if (cfg_.tracer) {
     ctx = cfg_.tracer->new_trace();
@@ -213,13 +228,10 @@ void Fleet::finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::
         (cfg_.sampler && ctx.active() && cfg_.sampler->retained(ctx.trace_id))
             ? ctx.trace_id
             : 0;
-    const std::string cls_entity =
-        cfg_.entity + "/class:" + mar::device_profile(snapshot.spec.device).name;
-    cfg_.metrics->histogram("fleet.m2p_ms", cls_entity).record(ms, exemplar);
-    cfg_.metrics->histogram("fleet.m2p_ms", cfg_.entity).record(ms, exemplar);
-    cfg_.metrics
-        ->counter(missed ? "fleet.deadline_miss" : "fleet.deadline_hit", cfg_.entity)
-        .add();
+    inst_.m2p_ms_by_class[static_cast<std::size_t>(snapshot.spec.device)]->record(
+        ms, exemplar);
+    inst_.m2p_ms->record(ms, exemplar);
+    (missed ? inst_.deadline_miss : inst_.deadline_hit)->add();
   }
 }
 
@@ -247,20 +259,18 @@ void Fleet::autoscale_tick() {
       add_server();
       ++active_;
     }
-    if (cfg_.metrics) cfg_.metrics->counter("fleet.scale_out", cfg_.entity).add();
+    if (cfg_.metrics) inst_.scale_out->add();
     autoscaler_.applied(sim_.now(), action, util, active_);
     publish_gauges();
   } else if (action == ScaleAction::kIn) {
     // Deactivate the highest-index server: it stops receiving dispatches
     // and drains whatever it still holds.
     --active_;
-    if (cfg_.metrics) cfg_.metrics->counter("fleet.scale_in", cfg_.entity).add();
+    if (cfg_.metrics) inst_.scale_in->add();
     autoscaler_.applied(sim_.now(), action, util, active_);
     publish_gauges();
   }
-  if (cfg_.metrics) {
-    cfg_.metrics->gauge("fleet.utilization", cfg_.entity).set(util);
-  }
+  if (cfg_.metrics) inst_.utilization->set(util);
   sim_.after(cfg_.autoscaler.tick, [this] { autoscale_tick(); });
 }
 

@@ -110,6 +110,17 @@ class Fleet {
     std::uint32_t next_frame = 0;
   };
 
+  /// The fleet's registry instruments, bound once at construction and
+  /// created in the registry on first record.
+  struct Instruments {
+    obs::CounterSlot arrivals, admitted, downgraded, rejected, frames;
+    obs::CounterSlot deadline_hit, deadline_miss, scale_out, scale_in;
+    obs::GaugeSlot active_sessions, active_servers, utilization;
+    obs::HistogramSlot m2p_ms;
+    /// "fleet.m2p_ms" per "<entity>/class:<device>", indexed by mar::DeviceClass.
+    std::vector<obs::HistogramSlot> m2p_ms_by_class;
+  };
+
   const AppProfile& app_of(const Session& s) const;
   edge::GeoPoint site_pos(std::size_t server_index) const;
   std::vector<EdgeServer*> active_set();
@@ -137,6 +148,7 @@ class Fleet {
   bool running_ = false;
   std::uint64_t next_frame_uid_ = 0;
   trace::EntityId trace_entity_ = trace::kNoEntity;
+  Instruments inst_;
   FleetStats stats_;
 };
 

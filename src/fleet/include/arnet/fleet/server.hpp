@@ -113,6 +113,14 @@ class EdgeServer {
   sim::Time busy_ = 0;
   double sojourn_ewma_ms_ = 0.0;
   trace::EntityId trace_entity_ = trace::kNoEntity;
+  /// The server's registry instruments, bound once at construction and
+  /// created in the registry on first record.
+  struct Instruments {
+    obs::CounterSlot requests, batches;
+    obs::GaugeSlot queue_depth;
+    obs::HistogramSlot batch_size, sojourn_ms;
+  };
+  Instruments inst_;
 };
 
 }  // namespace arnet::fleet

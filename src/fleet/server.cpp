@@ -13,6 +13,13 @@ EdgeServer::EdgeServer(sim::Simulator& sim, EdgeServerConfig cfg)
       free_lanes_(std::max(1, cfg_.batch.executors)) {
   ARNET_CHECK(cfg_.batch.max_batch >= 1, "max_batch must be >= 1");
   if (cfg_.tracer) trace_entity_ = cfg_.tracer->register_entity(cfg_.entity);
+  obs::MetricsRegistry* m = cfg_.metrics;
+  const std::string& e = cfg_.entity;
+  inst_.requests = {m, "fleet.requests", e};
+  inst_.batches = {m, "fleet.batches", e};
+  inst_.queue_depth = {m, "fleet.queue_depth", e};
+  inst_.batch_size = {m, "fleet.batch_size", e};
+  inst_.sojourn_ms = {m, "fleet.sojourn_ms", e};
 }
 
 void EdgeServer::record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
@@ -30,8 +37,7 @@ void EdgeServer::record_trace(trace::EventKind kind, const trace::TraceContext& 
 
 void EdgeServer::publish_depth() {
   if (!cfg_.metrics) return;
-  cfg_.metrics->gauge("fleet.queue_depth", cfg_.entity)
-      .set(static_cast<double>(queue_.size()));
+  inst_.queue_depth->set(static_cast<double>(queue_.size()));
 }
 
 double EdgeServer::utilization() const {
@@ -43,7 +49,7 @@ double EdgeServer::utilization() const {
 
 void EdgeServer::submit(ComputeRequest req) {
   ++requests_;
-  if (cfg_.metrics) cfg_.metrics->counter("fleet.requests", cfg_.entity).add();
+  if (cfg_.metrics) inst_.requests->add();
   record_trace(trace::EventKind::kEnqueue, req.trace, req.uid, req.work);
   queue_.push_back(Queued{std::move(req), sim_.now()});
   publish_depth();
@@ -99,9 +105,8 @@ void EdgeServer::run_batch(std::vector<Queued> batch) {
   --free_lanes_;
   executing_ += static_cast<int>(batch.size());
   if (cfg_.metrics) {
-    cfg_.metrics->counter("fleet.batches", cfg_.entity).add();
-    cfg_.metrics->histogram("fleet.batch_size", cfg_.entity)
-        .record(static_cast<double>(occupancy));
+    inst_.batches->add();
+    inst_.batch_size->record(static_cast<double>(occupancy));
   }
   for (const Queued& q : batch) {
     record_trace(trace::EventKind::kDispatch, q.req.trace, q.req.uid, occupancy);
@@ -118,9 +123,7 @@ void EdgeServer::run_batch(std::vector<Queued> batch) {
       sojourn_ewma_ms_ = sojourn_ewma_ms_ == 0.0
                              ? sojourn_ms
                              : 0.8 * sojourn_ewma_ms_ + 0.2 * sojourn_ms;
-      if (cfg_.metrics) {
-        cfg_.metrics->histogram("fleet.sojourn_ms", cfg_.entity).record(sojourn_ms);
-      }
+      if (cfg_.metrics) inst_.sojourn_ms->record(sojourn_ms);
       if (q.req.done) q.req.done();
     }
     try_dispatch();

@@ -47,8 +47,8 @@ class Link {
     /// the simulator-level event stream necessarily differs (fewer events).
     /// Batching self-disables per transmission — falling back to kArena —
     /// whenever it could change behavior: time-dependent queue disciplines
-    /// (AQM), a configured loss model (per-packet RNG draw order), or an
-    /// attached tracer (records real event times).
+    /// (AQM) or a configured loss model (per-packet RNG draw order). An
+    /// attached tracer keeps it on (see Link::batch_eligible).
     kArenaBatched,
   };
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <ostream>
+#include <string_view>
+#include <vector>
 
 namespace arnet::trace {
 
@@ -229,7 +231,14 @@ void write_samples_header(std::ostream& os) {
 void append_samples_run(const TailSampler& sampler, const Tracer& tracer,
                         const std::string& scope, std::ostream& os) {
   const TailSampler::Stats& st = sampler.stats();
-  os << "{\"kind\":\"run\",\"scope\":\"" << esc(scope)
+  // Escaped once per run, not once per exported span.
+  const std::string scope_json = esc(scope);
+  std::vector<std::string> entity_json;
+  entity_json.reserve(tracer.entity_count());
+  for (EntityId id = 0; id < tracer.entity_count(); ++id) {
+    entity_json.push_back(esc(tracer.entity_name(id)));
+  }
+  os << "{\"kind\":\"run\",\"scope\":\"" << scope_json
      << "\",\"frames_seen\":" << st.frames_seen
      << ",\"retained\":" << sampler.retained_count()
      << ",\"miss\":" << st.retained_miss << ",\"drop\":" << st.retained_drop
@@ -243,15 +252,15 @@ void append_samples_run(const TailSampler& sampler, const Tracer& tracer,
      << ",\"span_budget\":" << sampler.config().span_budget
      << ",\"notes\":" << sampler.notes().size() << "}\n";
   for (const auto& [tid, f] : sampler.retained_frames()) {
-    os << "{\"kind\":\"frame\",\"scope\":\"" << esc(scope) << "\",\"trace\":" << tid
+    os << "{\"kind\":\"frame\",\"scope\":\"" << scope_json << "\",\"trace\":" << tid
        << ",\"verdict\":\"" << f.verdict << "\",\"t0_ns\":" << f.first_time
        << ",\"t1_ns\":" << f.last_time << ",\"latency_ns\":" << f.latency_ns
        << ",\"spans\":" << f.spans.size() << ",\"truncated\":" << f.truncated
        << "}\n";
     for (const TraceEvent& e : f.spans) {
-      os << "{\"kind\":\"span\",\"scope\":\"" << esc(scope) << "\",\"trace\":" << tid
+      os << "{\"kind\":\"span\",\"scope\":\"" << scope_json << "\",\"trace\":" << tid
          << ",\"t_ns\":" << e.time << ",\"entity\":\""
-         << (e.entity < tracer.entity_count() ? esc(tracer.entity_name(e.entity)) : "")
+         << (e.entity < entity_json.size() ? entity_json[e.entity] : std::string_view{})
          << "\",\"event\":\"" << to_string(e.kind) << "\",\"span\":" << e.span_id
          << ",\"uid\":" << e.uid << ",\"size\":" << e.size;
       if (e.reason) os << ",\"reason\":\"" << e.reason << "\"";
@@ -259,7 +268,7 @@ void append_samples_run(const TailSampler& sampler, const Tracer& tracer,
     }
   }
   for (const TailSampler::Note& n : sampler.notes()) {
-    os << "{\"kind\":\"note\",\"scope\":\"" << esc(scope) << "\",\"t_ns\":" << n.time
+    os << "{\"kind\":\"note\",\"scope\":\"" << scope_json << "\",\"t_ns\":" << n.time
        << ",\"uid\":" << n.uid << ",\"reason\":\"" << n.reason << "\"}\n";
   }
 }

@@ -15,6 +15,7 @@
 #include "arnet/fleet/population.hpp"
 #include "arnet/fleet/scenario.hpp"
 #include "arnet/fleet/server.hpp"
+#include "arnet/mar/device.hpp"
 #include "arnet/obs/export.hpp"
 #include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
@@ -368,6 +369,109 @@ TEST(FleetDeterminism, SerialAndParallelSweepsAreByteIdentical) {
   const std::string parallel = sweep(8);
   EXPECT_GT(serial.size(), 1000u);
   EXPECT_EQ(serial, parallel);
+}
+
+fleet::CellConfig open_loop_cell() {
+  fleet::CellConfig cell;
+  cell.name = "open";
+  cell.offered_users = 60.0;
+  cell.duration = seconds(6);
+  cell.mean_lifetime_s = 3.0;
+  return cell;
+}
+
+fleet::CellConfig admission_overload_cell() {
+  fleet::CellConfig cell;
+  cell.name = "overload";
+  cell.offered_users = 200.0;
+  cell.admit = true;
+  cell.duration = seconds(8);
+  cell.mean_lifetime_s = 4.0;
+  return cell;
+}
+
+// The registry is a second account of what FleetStats and the servers count,
+// and the two must agree exactly. The cell's fleet is driven directly (as
+// run_capacity_cell does) so the servers' in-flight requests are visible.
+fleet::FleetStats expect_registry_agrees_with_stats(const fleet::CellConfig& cell) {
+  SCOPED_TRACE(cell.name);
+  sim::Simulator sim;
+  obs::MetricsRegistry reg;
+  fleet::FleetConfig cfg = fleet::cell_fleet_config(cell, 9);
+  cfg.metrics = &reg;
+  fleet::Fleet fl(sim, cfg);
+  fl.start();
+  sim.run_until(cell.duration);
+  fl.stop();
+  const fleet::FleetStats st = fl.stats();
+  EXPECT_GT(st.results, 100);
+
+  auto count = [&](const char* name) -> std::int64_t {
+    const obs::Counter* c = reg.find_counter(name, cell.name);
+    return c ? c->value() : 0;
+  };
+  EXPECT_EQ(count("fleet.arrivals"), static_cast<std::int64_t>(st.arrivals));
+  EXPECT_EQ(count("fleet.admitted"), static_cast<std::int64_t>(st.admitted));
+  EXPECT_EQ(count("fleet.downgraded"), static_cast<std::int64_t>(st.downgraded));
+  EXPECT_EQ(count("fleet.rejected"), static_cast<std::int64_t>(st.rejected));
+  EXPECT_EQ(count("fleet.frames"), st.frames);
+  EXPECT_EQ(count("fleet.deadline_hit") + count("fleet.deadline_miss"), st.results);
+  EXPECT_EQ(count("fleet.deadline_miss"), st.deadline_misses);
+
+  const obs::Histogram* m2p = reg.find_histogram("fleet.m2p_ms", cell.name);
+  EXPECT_EQ(m2p ? m2p->count() : 0, st.results);
+  std::int64_t per_class = 0;
+  for (const mar::DeviceProfile& p : mar::all_device_profiles()) {
+    const obs::Histogram* h = reg.find_histogram("fleet.m2p_ms", cell.name + "/class:" + p.name);
+    if (h) per_class += h->count();
+  }
+  EXPECT_EQ(per_class, st.results);
+
+  // Requests still queued or inside a batch at the horizon have no sojourn.
+  std::int64_t requests = 0, sojourns = 0, outstanding = 0;
+  for (std::size_t i = 0; i < fl.total_servers(); ++i) {
+    const std::string srv = cell.name + "/server:" + std::to_string(i);
+    const obs::Counter* req = reg.find_counter("fleet.requests", srv);
+    const obs::Counter* batches = reg.find_counter("fleet.batches", srv);
+    const obs::Histogram* size = reg.find_histogram("fleet.batch_size", srv);
+    const obs::Histogram* sojourn = reg.find_histogram("fleet.sojourn_ms", srv);
+    if (!req || !batches || !size || !sojourn) {
+      ADD_FAILURE() << srv << " is missing an instrument";
+      continue;
+    }
+    EXPECT_EQ(req->value(), fl.server(i).requests());
+    EXPECT_EQ(batches->value(), fl.server(i).batches());
+    EXPECT_EQ(size->count(), batches->value());
+    requests += req->value();
+    sojourns += sojourn->count();
+    outstanding += fl.server(i).outstanding();
+  }
+  EXPECT_GE(requests, st.results);
+  EXPECT_EQ(sojourns + outstanding, requests);
+  return st;
+}
+
+TEST(Fleet, RegistryAgreesWithStatsUnderAdmissionOverload) {
+  const fleet::FleetStats st = expect_registry_agrees_with_stats(admission_overload_cell());
+  EXPECT_GT(st.rejected, 0u);
+  EXPECT_GT(st.downgraded, 0u);
+}
+
+TEST(Fleet, RegistryAgreesWithStatsOpenLoop) {
+  expect_registry_agrees_with_stats(open_loop_cell());
+}
+
+TEST(Fleet, InstrumentsAppearOnlyWhenRecorded) {
+  // An instrument no event touched must not exist: it would export as a
+  // spurious 0 line.
+  obs::MetricsRegistry reg;
+  fleet::run_capacity_cell(open_loop_cell(), 9, &reg);
+  EXPECT_NE(reg.find_counter("fleet.admitted", "open"), nullptr);
+  EXPECT_EQ(reg.find_counter("fleet.rejected", "open"), nullptr);
+  EXPECT_EQ(reg.find_counter("fleet.downgraded", "open"), nullptr);
+  EXPECT_EQ(reg.find_counter("fleet.scale_out", "open"), nullptr);
+  EXPECT_EQ(reg.find_counter("fleet.scale_in", "open"), nullptr);
+  EXPECT_EQ(reg.find_gauge("fleet.utilization", "open"), nullptr);
 }
 
 TEST(Fleet, AutoscalerAddsServersUnderOverload) {

@@ -182,6 +182,59 @@ TEST(ObsRegistry, CreateOnTouchAndMergeSemantics) {
   EXPECT_EQ(a.recorder().find("rate", "x")->points().size(), 2u);
 }
 
+TEST(ObsSlot, BindsOnFirstUseToTheLookedUpInstrument) {
+  obs::MetricsRegistry reg;
+  obs::CounterSlot c(&reg, "pkts", "link:0");
+  obs::GaugeSlot g(&reg, "util", "link:0");
+  obs::HistogramSlot h(&reg, "delay", "flow:1");
+  EXPECT_TRUE(reg.empty());  // binding a slot creates nothing
+
+  EXPECT_EQ(&*c, &reg.counter("pkts", "link:0"));
+  EXPECT_EQ(&*g, &reg.gauge("util", "link:0"));
+  EXPECT_EQ(&*h, &reg.histogram("delay", "flow:1"));
+  EXPECT_EQ(reg.counters().size(), 1u);
+  EXPECT_EQ(reg.gauges().size(), 1u);
+  EXPECT_EQ(reg.histograms().size(), 1u);
+
+  // Two slots on one id share the instrument.
+  obs::CounterSlot c2(&reg, "pkts", "link:0");
+  c->add(2);
+  c2->add(3);
+  EXPECT_EQ(&*c, &*c2);
+  EXPECT_EQ(reg.find_counter("pkts", "link:0")->value(), 5);
+}
+
+TEST(ObsSlot, ExportMatchesLookupsByteForByte) {
+  // The same record sequence, once through lookups and once through slots;
+  // some slots are never used and must leave no instrument behind.
+  auto record = [](auto&& counter, auto&& gauge, auto&& histogram) {
+    for (int i = 0; i < 50; ++i) {
+      counter(i % 3 == 0 ? "a" : "b").add(i);
+      gauge().set(0.5 * i);
+      histogram(i % 2 == 0 ? "flow:\"x\"" : "flow:y").record(1.0 + i, i % 7 == 0 ? i : 0);
+    }
+  };
+  obs::MetricsRegistry looked_up;
+  record([&](const char* e) -> obs::Counter& { return looked_up.counter("n", e); },
+         [&]() -> obs::Gauge& { return looked_up.gauge("g", "e"); },
+         [&](const char* e) -> obs::Histogram& { return looked_up.histogram("h", e); });
+
+  obs::MetricsRegistry bound;
+  obs::CounterSlot ca(&bound, "n", "a"), cb(&bound, "n", "b"), unused(&bound, "n", "c");
+  obs::GaugeSlot g(&bound, "g", "e");
+  obs::HistogramSlot hx(&bound, "h", "flow:\"x\""), hy(&bound, "h", "flow:y");
+  record([&](const char* e) -> obs::Counter& { return *e == 'a' ? *ca : *cb; },
+         [&]() -> obs::Gauge& { return *g; },
+         [&](const char* e) -> obs::Histogram& { return e[5] == 'y' ? *hy : *hx; });
+
+  std::ostringstream a, b;
+  obs::write_jsonl(looked_up, a);
+  obs::write_jsonl(bound, b);
+  EXPECT_GT(a.str().size(), 200u);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(bound.find_counter("n", "c"), nullptr);
+}
+
 // --------------------------------------------------------------- exporter
 
 TEST(ObsExport, JsonlRoundTripIsLossless) {
